@@ -11,12 +11,14 @@
 //                     warm path, including the disk read).
 //   Backend_*       = steady-state inference throughput of the pluggable
 //                     kernel backends on the GEMM-lowered hospital forest,
-//                     the numbers docs/OPERATIONS.md's backend guidance
-//                     quotes.
+//                     and (Backend_TreeEnsemble) of the same forest as the
+//                     TreeEnsemble op the optimizer picks on CPU: the
+//                     numbers docs/OPERATIONS.md's backend guidance quotes.
 
 #include <unistd.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
 
 #include "bench_util.h"
@@ -34,16 +36,21 @@ const ml::ModelPipeline& Forest() {
   return *model;
 }
 
-/// Serialized GEMM-lowered forest — the model bytes a cold server compiles.
-const std::string& ModelBytes() {
-  static auto* bytes = new std::string([] {
-    nnrt::Graph graph =
-        bench::Must(optimizer::PipelineToNnGraph(Forest()), "translate");
+/// Serialized forest graph. The GEMM lowering (the default) is the model
+/// bytes a cold server compiles here; TreeEnsemble is the encoding the
+/// optimizer picks on CPU.
+const std::string& ModelBytes(
+    optimizer::TreeEncoding encoding = optimizer::TreeEncoding::kGemm) {
+  static auto* bytes = new std::map<optimizer::TreeEncoding, std::string>();
+  auto it = bytes->find(encoding);
+  if (it == bytes->end()) {
+    nnrt::Graph graph = bench::Must(
+        optimizer::PipelineToNnGraph(Forest(), encoding), "translate");
     BinaryWriter writer;
     graph.Serialize(&writer);
-    return writer.Release();
-  }());
-  return *bytes;
+    it = bytes->emplace(encoding, writer.Release()).first;
+  }
+  return it->second;
 }
 
 /// A shared artifact directory holding the compiled model, written once.
@@ -102,11 +109,12 @@ void BM_ColdStart_ArtifactReload(benchmark::State& state) {
   }
 }
 
-void RunBackend(benchmark::State& state, nnrt::BackendKind backend) {
+void RunBackend(benchmark::State& state, nnrt::BackendKind backend,
+                const std::string& model_bytes = ModelBytes()) {
   nnrt::SessionOptions options;
   options.backend = backend;
   auto session = bench::Must(
-      nnrt::InferenceSession::FromBytes(ModelBytes(), options), "session");
+      nnrt::InferenceSession::FromBytes(model_bytes, options), "session");
   Tensor x = bench::Must(
       bench::Hospital(state.range(0)).joined.ToTensor(Forest().input_columns),
       "tensor");
@@ -129,6 +137,14 @@ void BM_Backend_Fp16(benchmark::State& state) {
   RunBackend(state, nnrt::BackendKind::kFp16);
 }
 
+void BM_Backend_TreeEnsemble(benchmark::State& state) {
+  // The same forest as one TreeEnsemble op. The kernel stays on the
+  // reference implementation under every backend, so simd is what
+  // reference would score.
+  RunBackend(state, nnrt::BackendKind::kSimd,
+             ModelBytes(optimizer::TreeEncoding::kTreeEnsemble));
+}
+
 BENCHMARK(BM_ColdStart_FreshCompile)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ColdStart_DeserializeOnly)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ColdStart_ArtifactReload)->Unit(benchmark::kMicrosecond);
@@ -139,6 +155,8 @@ BENCHMARK(BM_Backend_Reference)
 BENCHMARK(BM_Backend_Simd)->Arg(1000)->Arg(10000)->Unit(
     benchmark::kMicrosecond);
 BENCHMARK(BM_Backend_Fp16)->Arg(1000)->Arg(10000)->Unit(
+    benchmark::kMicrosecond);
+BENCHMARK(BM_Backend_TreeEnsemble)->Arg(1000)->Arg(10000)->Unit(
     benchmark::kMicrosecond);
 
 }  // namespace

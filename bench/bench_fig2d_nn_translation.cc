@@ -38,7 +38,9 @@ const nnrt::InferenceSession& Session(nnrt::DeviceSpec device) {
   auto& slot = device.type == nnrt::DeviceType::kCpu ? *cpu : *acc;
   if (slot == nullptr) {
     nnrt::Graph graph =
-        bench::Must(optimizer::PipelineToNnGraph(Forest()), "translate");
+        bench::Must(optimizer::PipelineToNnGraph(
+                        Forest(), optimizer::TreeEncoding::kGemm),
+                    "translate");
     nnrt::SessionOptions options;
     options.device = device;
     slot = bench::Must(

@@ -28,8 +28,12 @@ const std::string& ModelBytes(const char* kind) {
   static auto* cache = new std::map<std::string, std::string>();
   auto it = cache->find(kind);
   if (it == cache->end()) {
+    // A standalone runtime scores trees natively (ONNX-ML's
+    // TreeEnsembleRegressor), as the optimizer does on CPU.
     nnrt::Graph graph = bench::Must(
-        optimizer::PipelineToNnGraph(TrainModel(kind)), "translate");
+        optimizer::PipelineToNnGraph(TrainModel(kind),
+                                     optimizer::TreeEncoding::kTreeEnsemble),
+        "translate");
     BinaryWriter w;
     graph.Serialize(&w);
     it = cache->emplace(kind, w.Release()).first;

@@ -1,6 +1,6 @@
 // In-text number, §5 observation (v): batch inference gains about an order
 // of magnitude over one-prediction-per-tuple scoring. We score a fixed
-// 100K-row workload through the NN-translated hospital forest at different
+// 100K-row workload through the GEMM-lowered hospital forest at different
 // batch sizes and report per-row cost.
 
 #include "bench_util.h"
@@ -17,8 +17,9 @@ void BM_BatchSize(benchmark::State& state) {
   static auto* session = [] {
     auto model = bench::Must(
         data::TrainHospitalForest(bench::Hospital(20000), 10, 8), "train");
-    nnrt::Graph graph =
-        bench::Must(optimizer::PipelineToNnGraph(model), "translate");
+    nnrt::Graph graph = bench::Must(
+        optimizer::PipelineToNnGraph(model, optimizer::TreeEncoding::kGemm),
+        "translate");
     return new std::unique_ptr<nnrt::InferenceSession>(bench::Must(
         nnrt::InferenceSession::Create(std::move(graph)), "session"));
   }();

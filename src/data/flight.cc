@@ -116,7 +116,7 @@ Result<ml::ModelPipeline> TrainFlightLogreg(const FlightDataset& data,
   options.l1 = l1;
   RAVEN_RETURN_IF_ERROR(model.Fit(features, y, options));
   pipeline.predictor = std::move(model);
-  return std::move(pipeline);
+  return pipeline;
 }
 
 std::string FlightLogregScript() {

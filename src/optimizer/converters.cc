@@ -307,8 +307,12 @@ void EmitTreeEnsemble(Graph* graph, const std::vector<const ml::DecisionTree*>& 
 
 }  // namespace
 
+const char* TreeEncodingToString(TreeEncoding encoding) {
+  return encoding == TreeEncoding::kGemm ? "GEMM" : "TreeEnsemble";
+}
+
 Result<Graph> PipelineToNnGraph(const ModelPipeline& pipeline,
-                                const NnTranslationOptions& options) {
+                                TreeEncoding tree_encoding) {
   Graph graph;
   graph.AddInput("X");
   const std::string feats = EmitFeaturizer(pipeline, &graph);
@@ -360,7 +364,7 @@ Result<Graph> PipelineToNnGraph(const ModelPipeline& pipeline,
     }
     case PredictorKind::kDecisionTree: {
       const auto& tree = std::get<ml::DecisionTree>(pipeline.predictor);
-      if (options.lower_trees_to_gemm) {
+      if (tree_encoding == TreeEncoding::kGemm) {
         RAVEN_RETURN_IF_ERROR(
             EmitTreeAsGemm(&graph, tree, num_features, feats, "Y"));
       } else {
@@ -373,7 +377,7 @@ Result<Graph> PipelineToNnGraph(const ModelPipeline& pipeline,
       if (forest.trees().empty()) {
         return Status::InvalidArgument("cannot translate an empty forest");
       }
-      if (options.lower_trees_to_gemm) {
+      if (tree_encoding == TreeEncoding::kGemm) {
         std::vector<std::string> tree_outputs;
         for (const auto& tree : forest.trees()) {
           const std::string out = graph.FreshValueName("tree_out");

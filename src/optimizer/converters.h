@@ -8,23 +8,29 @@
 
 namespace raven::optimizer {
 
-/// Options for NN translation (paper §4.2, Fig 2(d)).
-struct NnTranslationOptions {
-  /// When true, trees and forests are lowered all the way to GEMM layers
-  /// (the novel MLD -> LA transformation); when false they stay as the
-  /// higher-level TreeEnsemble op (the ONNX-ML-style encoding).
-  bool lower_trees_to_gemm = true;
+/// How NN translation encodes a tree or forest predictor (paper §4.2,
+/// Fig 2(d)). The cost model picks one per model and device
+/// (ChooseTreeEncoding in cost_model.h); other predictors ignore it.
+enum class TreeEncoding {
+  /// One native TreeEnsemble op (the ONNX-ML-style encoding): a per-row
+  /// tree walk, cheapest on a CPU.
+  kTreeEnsemble,
+  /// Hummingbird-style dense GEMM layers (the MLD -> LA transformation):
+  /// far more flops, but batch-parallel, so it pays off only on an
+  /// accelerator at large batches.
+  kGemm,
 };
+
+const char* TreeEncodingToString(TreeEncoding encoding);
 
 /// Translates a trained model pipeline into an NNRT dataflow graph with a
 /// single input "X" ([n, |input_columns|] raw matrix) and output "Y"
 /// ([n, 1] predictions). Featurizer branches become GatherColumns /
 /// Scaler / OneHot ops; predictors become Gemm stacks, Sigmoid heads, or
-/// tree encodings. The translated graph computes exactly the pipeline's
-/// Predict function (float32).
-Result<nnrt::Graph> PipelineToNnGraph(
-    const ml::ModelPipeline& pipeline,
-    const NnTranslationOptions& options = NnTranslationOptions());
+/// trees in `tree_encoding`. The translated graph computes exactly the
+/// pipeline's Predict function (float32).
+Result<nnrt::Graph> PipelineToNnGraph(const ml::ModelPipeline& pipeline,
+                                      TreeEncoding tree_encoding);
 
 /// Model inlining (paper §4.2, Fig 2(c)): compiles a decision-tree pipeline
 /// into a relational scalar expression (nested CASE WHEN over raw columns),

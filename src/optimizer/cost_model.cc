@@ -58,6 +58,52 @@ double PipelineRowCost(const ml::ModelPipeline& pipeline) {
   return featurize + PredictorRowCost(pipeline.predictor);
 }
 
+double TreeGemmRowFlops(const ml::ModelPipeline& pipeline) {
+  const double features = static_cast<double>(pipeline.NumFeatures());
+  auto tree_flops = [features](const ml::DecisionTree& tree) {
+    double internal = 0.0;
+    for (std::int32_t f : tree.feature()) internal += f >= 0 ? 1.0 : 0.0;
+    const double leaves = static_cast<double>(tree.num_nodes()) - internal;
+    // Same 2·rows·cols per weight matrix as NnGraphRowCost.
+    return 2.0 * (features * internal + internal * leaves + leaves);
+  };
+  if (const auto* tree = std::get_if<ml::DecisionTree>(&pipeline.predictor)) {
+    return tree_flops(*tree);
+  }
+  const auto* forest = std::get_if<ml::RandomForest>(&pipeline.predictor);
+  if (forest == nullptr) return 0.0;
+  double flops = 2.0 * static_cast<double>(forest->trees().size());
+  for (const auto& tree : forest->trees()) flops += tree_flops(tree);
+  return flops;
+}
+
+namespace {
+
+/// Host speed of a per-row tree walk in PipelineRowCost work units per µs:
+/// the TreeEnsemble kernel scored 150-260 on one core of a 4-vCPU x86 VM
+/// over hospital forests of 5-30 trees, depth 5-10 (203 on the 10-tree
+/// depth-8 forest of bench_fig2d_nn_translation).
+constexpr double kHostTreeWalkUnitsPerUs = 200.0;
+
+}  // namespace
+
+TreeEncodingChoice ChooseTreeEncoding(const ml::ModelPipeline& pipeline,
+                                      const nnrt::DeviceSpec& device,
+                                      double rows) {
+  TreeEncodingChoice choice;
+  choice.device = device.type;
+  if (device.type == nnrt::DeviceType::kCpu) return choice;
+  choice.rows = rows;
+  choice.tree_walk_us =
+      rows * PipelineRowCost(pipeline) / kHostTreeWalkUnitsPerUs;
+  choice.gemm_us = device.launch_overhead_us +
+                   rows * TreeGemmRowFlops(pipeline) / device.flops_per_us;
+  if (choice.gemm_us < choice.tree_walk_us) {
+    choice.encoding = TreeEncoding::kGemm;
+  }
+  return choice;
+}
+
 double NnGraphRowCost(const nnrt::Graph& graph) {
   // Static estimate: Gemm/MatMul dominate; use initializer shapes.
   double cost = 0.0;
@@ -141,13 +187,15 @@ Result<PlanCost> EstimateCostNode(const ir::IrNode& node,
       RAVEN_ASSIGN_OR_RETURN(PlanCost right,
                              EstimateCostImpl(*node.children[1], ctx,
                                               dop));
-      // Build insertion and probe split across workers; the build-buffer
-      // concatenation at the pipeline barrier stays sequential.
-      const double parallel_part =
-          2.0 * (left.output_rows + right.output_rows) / dop;
+      // The probe splits across workers; the hash-table build (two CSR
+      // passes over the build rows) and, when parallel, the build-buffer
+      // concatenation run sequentially at the pipeline barrier.
+      const double probe_part = 2.0 * left.output_rows / dop;
+      const double build_part = 2.0 * right.output_rows;
       const double merge_part = dop > 1.0 ? right.output_rows : 0.0;
-      return PlanCost{left.output_rows, left.total_cost + right.total_cost +
-                                            parallel_part + merge_part};
+      return PlanCost{left.output_rows,
+                      left.total_cost + right.total_cost + probe_part +
+                          build_part + merge_part};
     }
     case IrOpKind::kUnionAll: {
       PlanCost total{0.0, 0.0};

@@ -2,10 +2,13 @@
 #define RAVEN_OPTIMIZER_COST_MODEL_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "ir/ir.h"
+#include "nnrt/device.h"
+#include "optimizer/converters.h"
 #include "relational/catalog.h"
 
 namespace raven::optimizer {
@@ -27,16 +30,47 @@ double PipelineRowCost(const ml::ModelPipeline& pipeline);
 /// single-row batch).
 double NnGraphRowCost(const nnrt::Graph& graph);
 
+/// Per-row flops of a tree or forest predictor lowered to GEMMs: the
+/// feature-select [F, I], path [I, L] and leaf [L, 1] matrices of every
+/// tree, plus the forest's [T, 1] average. 0 for other predictors.
+double TreeGemmRowFlops(const ml::ModelPipeline& pipeline);
+
+/// The encoding NN translation gives one tree or forest model, with the two
+/// estimates it was chosen on (EXPLAIN prints them).
+struct TreeEncodingChoice {
+  std::string model;  ///< the PREDICT node's model name
+  TreeEncoding encoding = TreeEncoding::kTreeEnsemble;
+  nnrt::DeviceType device = nnrt::DeviceType::kCpu;
+  /// Accelerator only (0 on CPU, where nothing is costed): estimated rows
+  /// scored, and the predicted µs of each encoding over them.
+  double rows = 0.0;
+  double tree_walk_us = 0.0;
+  double gemm_us = 0.0;
+};
+
+/// Picks the tree encoding for `pipeline` on `device`, scoring about `rows`
+/// rows. A CPU always walks the trees (TreeEnsemble): GEMM lowering costs
+/// orders of magnitude more flops than it saves in branches. An
+/// accelerator gets GEMM only when the device cost, launch overhead plus
+/// rows × TreeGemmRowFlops ÷ flops_per_us, beats the tree walk, priced at
+/// host speed (rows × PipelineRowCost ÷ a measured host rate) because a
+/// data-dependent walk cannot use the device's batch throughput. Computed
+/// from tree sizes alone: no graph is built to compare.
+TreeEncodingChoice ChooseTreeEncoding(const ml::ModelPipeline& pipeline,
+                                      const nnrt::DeviceSpec& device,
+                                      double rows);
+
 /// Estimates cardinality and cost bottom-up. Filters use a fixed 0.4
 /// selectivity unless the predicate is a conjunction (0.4 per conjunct);
 /// joins assume key-FK matches (|left| rows out).
 ///
 /// `parallelism` > 1 costs the plan as the morsel-driven parallel executor
-/// runs it: scans, filters, projections, model scoring, join build/probe
-/// and (grouped-)aggregate accumulation divide across workers, while
-/// per-worker startup, the ordered result merge, an ORDER BY's stable sort
-/// (a sequential gather-and-sort tail), the GROUP BY striped-table merge,
-/// and any subtree under a LIMIT (which executes sequentially) do not.
+/// runs it: scans, filters, projections, model scoring, join probes and
+/// (grouped-)aggregate accumulation divide across workers, while
+/// per-worker startup, the ordered result merge, a join's hash-table build,
+/// an ORDER BY's stable sort (a sequential gather-and-sort tail), the
+/// GROUP BY striped-table merge, and any subtree under a LIMIT (which
+/// executes sequentially) do not.
 /// This keeps the optimizer honest about plans that parallelize well
 /// versus ones that are merge- or startup-bound.
 Result<PlanCost> EstimateCost(const ir::IrNode& node,

@@ -74,8 +74,10 @@ Status CrossOptimizer::Optimize(ir::IrPlan* plan,
     record("model_inlining", fired);
   }
   if (options_.nn_translation) {
-    RAVEN_ASSIGN_OR_RETURN(std::size_t fired,
-                           ApplyNnTranslation(root, options_.nn_options));
+    RAVEN_ASSIGN_OR_RETURN(
+        std::size_t fired,
+        ApplyNnTranslation(root, *catalog_, options_.target_device,
+                           &local.tree_encodings));
     record("nn_translation", fired);
   }
 

@@ -9,7 +9,8 @@
 
 #include "common/status.h"
 #include "ir/ir.h"
-#include "optimizer/converters.h"
+#include "nnrt/device.h"
+#include "optimizer/cost_model.h"
 #include "relational/catalog.h"
 
 namespace raven::optimizer {
@@ -37,7 +38,11 @@ struct OptimizerOptions {
   /// fall through to NN translation.
   std::int64_t inline_max_nodes = 512;
   bool nn_translation = true;
-  NnTranslationOptions nn_options;
+  /// NNRT device the plan's translated models will run on; the cost model
+  /// picks each tree model's encoding for it (ChooseTreeEncoding).
+  /// RavenContext and the query server wire it from ExecutionOptions::device
+  /// like target_parallelism.
+  nnrt::DeviceSpec target_device = nnrt::DeviceSpec::Cpu();
   /// Degree of parallelism the runtime will execute the plan at. The cost
   /// model divides parallelizable work by it, so plan costing no longer
   /// assumes sequential scans; RavenContext wires the execution option in.
@@ -84,6 +89,8 @@ struct OptimizationReport {
   std::int64_t costed_distributed_workers = 0;
   /// Per-operator subtree costs of the optimized plan, preorder.
   std::vector<OperatorCost> operator_costs;
+  /// The encoding NN translation chose for each tree or forest model.
+  std::vector<TreeEncodingChoice> tree_encodings;
 
   std::size_t TotalApplications() const {
     std::size_t total = 0;

@@ -532,8 +532,9 @@ Result<std::size_t> ApplyModelInlining(IrNodePtr* root,
   return fired;
 }
 
-Result<std::size_t> ApplyNnTranslation(IrNodePtr* root,
-                                       const NnTranslationOptions& options) {
+Result<std::size_t> ApplyNnTranslation(
+    IrNodePtr* root, const relational::Catalog& catalog,
+    const nnrt::DeviceSpec& device, std::vector<TreeEncodingChoice>* choices) {
   std::size_t fired = 0;
   std::vector<IrNodePtr*> model_nodes;
   std::function<void(IrNodePtr*)> collect = [&](IrNodePtr* node) {
@@ -545,8 +546,25 @@ Result<std::size_t> ApplyNnTranslation(IrNodePtr* root,
   collect(root);
   for (IrNodePtr* slot : model_nodes) {
     IrNode& node = **slot;
+    TreeEncodingChoice choice;
+    const ml::PredictorKind kind = ml::KindOf(node.pipeline->predictor);
+    const bool trees = kind == ml::PredictorKind::kDecisionTree ||
+                       kind == ml::PredictorKind::kRandomForest;
+    if (trees) {
+      // Only an accelerator's choice depends on the row count; a CPU plan
+      // skips the estimate.
+      double rows = 0.0;
+      if (device.type != nnrt::DeviceType::kCpu) {
+        RAVEN_ASSIGN_OR_RETURN(PlanCost input,
+                               EstimateCost(*node.children[0], catalog));
+        rows = input.output_rows;
+      }
+      choice = ChooseTreeEncoding(*node.pipeline, device, rows);
+      choice.model = node.model_name;
+      if (choices != nullptr) choices->push_back(choice);
+    }
     RAVEN_ASSIGN_OR_RETURN(nnrt::Graph graph,
-                           PipelineToNnGraph(*node.pipeline, options));
+                           PipelineToNnGraph(*node.pipeline, choice.encoding));
     *slot = IrNode::NnGraph(std::move(node.children[0]), node.model_name,
                             std::make_shared<nnrt::Graph>(std::move(graph)),
                             node.model_input_columns, node.output_column);

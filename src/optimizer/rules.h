@@ -5,10 +5,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "ir/ir.h"
 #include "optimizer/converters.h"
+#include "optimizer/cost_model.h"
 #include "relational/catalog.h"
 
 namespace raven::optimizer {
@@ -52,9 +54,14 @@ Result<std::size_t> ApplyModelInlining(ir::IrNodePtr* root,
                                        std::int64_t max_nodes);
 
 /// NN translation (paper §4.2, Fig 2(d)): classical pipelines become NNRT
-/// linear-algebra graphs for batch/accelerator execution.
-Result<std::size_t> ApplyNnTranslation(ir::IrNodePtr* root,
-                                       const NnTranslationOptions& options);
+/// linear-algebra graphs for batch/accelerator execution. Trees and forests
+/// take the encoding ChooseTreeEncoding picks for `device` (on an
+/// accelerator, over the model node's estimated input rows); each such
+/// choice is appended to `choices` when it is non-null.
+Result<std::size_t> ApplyNnTranslation(
+    ir::IrNodePtr* root, const relational::Catalog& catalog,
+    const nnrt::DeviceSpec& device,
+    std::vector<TreeEncodingChoice>* choices = nullptr);
 
 /// Model clustering (paper §4.1, Fig 2(b)): swaps a model node for its
 /// registered per-cluster precompiled artifact.

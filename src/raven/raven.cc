@@ -42,6 +42,8 @@ void RavenContext::SyncOptimizerParallelism() {
       options_.execution.mode == runtime::ExecutionMode::kDistributed
           ? options_.execution.distributed_workers
           : 0;
+  optimizer_.mutable_options().target_device =
+      runtime::PlanningDevice(options_.execution);
 }
 
 Status RavenContext::RegisterTable(const std::string& name,
@@ -153,6 +155,22 @@ Result<std::string> RavenContext::Explain(const std::string& sql) {
       }
       if (row.fused_into_parent) out += " [fused into parent]";
       out += "\n";
+    }
+  }
+  if (!report.tree_encodings.empty()) {
+    // Which encoding NN translation gave each tree model, and (on an
+    // accelerator) the two estimates the cost model chose between.
+    out += "=== Tree encoding ===\n";
+    for (const auto& choice : report.tree_encodings) {
+      out += "  model='" + choice.model + "': " +
+             optimizer::TreeEncodingToString(choice.encoding);
+      if (choice.device == nnrt::DeviceType::kCpu) {
+        out += " (cpu)\n";
+        continue;
+      }
+      out += " (accelerator, rows=" + std::to_string(choice.rows) +
+             " gemm_us=" + std::to_string(choice.gemm_us) +
+             " tree_walk_us=" + std::to_string(choice.tree_walk_us) + ")\n";
     }
   }
   const std::string fused = runtime::DescribeFusedChains(*plan.root());

@@ -237,39 +237,30 @@ Status JoinBuildState::FinalizeBuild() {
       return Status::ExecutionError("join build key '" + right_key_ +
                                     "' not found");
     }
-    // Striped parallel insertion over row shards; contention is limited to
-    // the per-stripe mutexes.
-    const auto& key_col = cols_[static_cast<std::size_t>(key_idx)];
-    const std::int64_t shards = std::min<std::int64_t>(
-        16, (total + kChunkSize - 1) / kChunkSize);
-    const std::int64_t per = (total + shards - 1) / shards;
-    ThreadPool::Global().ParallelFor(
-        static_cast<std::size_t>(shards), [&](std::size_t s) {
-          const std::int64_t begin = static_cast<std::int64_t>(s) * per;
-          const std::int64_t end = std::min(total, begin + per);
-          for (std::int64_t row = begin; row < end; ++row) {
-            const double key = key_col[static_cast<std::size_t>(row)];
-            Stripe& stripe = stripes_[StripeOf(key)];
-            std::lock_guard<std::mutex> lock(stripe.mu);
-            stripe.map[key].push_back(row);
-          }
-        });
-    // Shard interleaving is racy; ascending row ids == sequential
-    // insertion order, restoring deterministic duplicate-key matches.
-    ThreadPool::Global().ParallelFor(kStripes, [&](std::size_t s) {
-      for (auto& [key, rows] : stripes_[s].map) {
-        std::sort(rows.begin(), rows.end());
-      }
-    });
+    key_idx_ = static_cast<std::size_t>(key_idx);
+    const auto& keys = cols_[key_idx_];
+    // Power-of-two buckets, at least 2x the rows: short chains, mask index.
+    std::size_t buckets = 1;
+    while (buckets < 2 * static_cast<std::size_t>(total)) buckets <<= 1;
+    bucket_mask_ = buckets - 1;
+    // Pass 1: count rows per bucket; the prefix sum turns counts into
+    // bucket start offsets.
+    bucket_start_.assign(buckets + 1, 0);
+    for (double key : keys) ++bucket_start_[BucketOf(key) + 1];
+    std::partial_sum(bucket_start_.begin(), bucket_start_.end(),
+                     bucket_start_.begin());
+    // Pass 2: scatter row ids in ascending order, so each bucket lists its
+    // rows in build order.
+    std::vector<std::int64_t> cursor(bucket_start_.begin(),
+                                     bucket_start_.end() - 1);
+    bucket_rows_.resize(static_cast<std::size_t>(total));
+    for (std::int64_t row = 0; row < total; ++row) {
+      const std::size_t b = BucketOf(keys[static_cast<std::size_t>(row)]);
+      bucket_rows_[static_cast<std::size_t>(cursor[b]++)] = row;
+    }
   }
   finalized_ = true;
   return Status::OK();
-}
-
-const std::vector<std::int64_t>* JoinBuildState::Lookup(double key) const {
-  const Stripe& stripe = stripes_[StripeOf(key)];
-  auto it = stripe.map.find(key);
-  return it == stripe.map.end() ? nullptr : &it->second;
 }
 
 std::int64_t JoinBuildState::num_rows() const {
@@ -359,9 +350,7 @@ Result<bool> HashJoinOperator::Next(DataChunk* out) {
     for (std::int64_t s = 0; s < n; ++s) {
       const auto i = static_cast<std::size_t>(
           chunk.has_sel() ? chunk.sel[static_cast<std::size_t>(s)] : s);
-      const std::vector<std::int64_t>* matches = build_->Lookup(key_col[i]);
-      if (matches == nullptr) continue;
-      for (std::int64_t build_row : *matches) {
+      build_->ForEachMatch(key_col[i], [&](std::int64_t build_row) {
         for (std::size_t c = 0; c < chunk.cols.size(); ++c) {
           out->cols[c].push_back(chunk.cols[c][i]);
         }
@@ -370,7 +359,7 @@ Result<bool> HashJoinOperator::Next(DataChunk* out) {
               build_cols[build_emit_cols_[e]]
                         [static_cast<std::size_t>(build_row)]);
         }
-      }
+      });
     }
     if (out->num_rows() > 0) return true;
     // All probe rows missed; continue with the next chunk.

@@ -10,7 +10,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -137,12 +136,13 @@ class ProjectOperator final : public PhysicalOperator {
 /// build pipeline concurrently, appending chunks to per-worker buffers
 /// (lock-free); FinalizeBuild then orders the chunks by their morsel
 /// provenance — restoring the exact row order a sequential build would have
-/// produced, independent of which worker claimed which morsel — and
-/// populates a hash table striped over `kStripes` independently-locked
-/// partitions so insertion parallelizes without a global lock. Row-id lists
-/// are sorted ascending afterwards, so duplicate-key probe matches come out
-/// in sequential build order too. After FinalizeBuild the structure is
-/// immutable and probed lock-free from any thread.
+/// produced, independent of which worker claimed which morsel — and builds
+/// a CSR (compressed sparse row) hash table: power-of-two buckets, one flat
+/// array of build row ids grouped by bucket, and each bucket's start
+/// offset. Row ids are scattered in ascending order, so duplicate-key probe
+/// matches come out in sequential build order with no per-key sort. After
+/// FinalizeBuild the structure is immutable and probed lock-free from any
+/// thread.
 class JoinBuildState {
  public:
   JoinBuildState(std::string right_key, std::int64_t num_workers);
@@ -155,34 +155,46 @@ class JoinBuildState {
 
   /// Orders the buffered chunks, concatenates them (releasing each chunk as
   /// it is copied, so peak memory stays ~one chunk above the build size),
-  /// and builds the striped hash table on the global pool. Must be called
-  /// exactly once, after all Append calls completed.
+  /// and builds the CSR table in two sequential passes (count per bucket +
+  /// prefix sum, then scatter). Must be called exactly once, after all
+  /// Append calls completed.
   Status FinalizeBuild();
 
   // Probe API; valid only after FinalizeBuild.
   const std::vector<std::string>& names() const { return names_; }
   const std::vector<std::vector<double>>& cols() const { return cols_; }
-  /// Row ids matching `key`, or nullptr when the key misses.
-  const std::vector<std::int64_t>* Lookup(double key) const;
+  /// Calls `visit(build_row)` for every build row whose key compares `==`
+  /// to `key`, in ascending row order. Same equality as a hash map keyed by
+  /// double: NaN never matches, -0.0 matches 0.0 (std::hash maps both zeros
+  /// to one bucket).
+  template <typename Visit>
+  void ForEachMatch(double key, Visit&& visit) const {
+    if (bucket_start_.empty()) return;
+    const std::size_t b = BucketOf(key);
+    const std::vector<double>& keys = cols_[key_idx_];
+    for (std::int64_t i = bucket_start_[b]; i < bucket_start_[b + 1]; ++i) {
+      const std::int64_t row = bucket_rows_[static_cast<std::size_t>(i)];
+      if (keys[static_cast<std::size_t>(row)] == key) visit(row);
+    }
+  }
   std::int64_t num_rows() const;
   bool finalized() const { return finalized_; }
   const std::string& right_key() const { return right_key_; }
 
  private:
-  static constexpr std::size_t kStripes = 64;
-  struct Stripe {
-    std::mutex mu;
-    std::unordered_map<double, std::vector<std::int64_t>> map;
-  };
-  static std::size_t StripeOf(double key) {
-    return std::hash<double>{}(key) % kStripes;
+  std::size_t BucketOf(double key) const {
+    return std::hash<double>{}(key) & bucket_mask_;
   }
 
   std::string right_key_;
   std::vector<std::vector<DataChunk>> buffers_;  // per-worker, morsel-tagged
   std::vector<std::string> names_;
   std::vector<std::vector<double>> cols_;
-  std::array<Stripe, kStripes> stripes_;
+  std::size_t key_idx_ = 0;
+  std::size_t bucket_mask_ = 0;
+  /// num_buckets + 1 offsets into bucket_rows_; empty when the build is.
+  std::vector<std::int64_t> bucket_start_;
+  std::vector<std::int64_t> bucket_rows_;
   bool finalized_ = false;
 };
 

@@ -95,6 +95,14 @@ struct ExecutionOptions {
   obs::Trace* trace = nullptr;
 };
 
+/// The NNRT device a plan for `options` scores on, which the optimizer
+/// costs tree encodings for: `device` in-process, the CPU otherwise
+/// (worker processes always run CPU sessions).
+inline nnrt::DeviceSpec PlanningDevice(const ExecutionOptions& options) {
+  return options.mode == ExecutionMode::kInProcess ? options.device
+                                                   : nnrt::DeviceSpec::Cpu();
+}
+
 /// Per-operator execution counters, summed over all workers that ran a
 /// clone of the operator.
 struct OperatorStats {

@@ -25,7 +25,8 @@ class WorkerPool;
 /// ORDER BY), each pipeline runs as N symmetric worker operator trees
 /// pulling kChunkSize-row morsels from shared atomic cursors, and the final
 /// merge restores sequential row order from morsel provenance. Join builds
-/// populate a lock-striped shared hash table; aggregates merge thread-local
+/// drain in parallel into per-worker buffers, then build one lock-free CSR
+/// hash table that every probe worker shares; aggregates merge thread-local
 /// partials; GROUP BY pre-aggregates thread-locally and merges into a
 /// lock-striped global table; ORDER BY gathers its parallel child pipeline
 /// and stable-sorts once; PREDICT workers share cached NNRT sessions. Plans

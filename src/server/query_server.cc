@@ -1001,6 +1001,7 @@ Result<std::shared_ptr<const CachedPlan>> QueryServer::PlanFresh(
         exec.mode == runtime::ExecutionMode::kDistributed
             ? exec.distributed_workers
             : 0;
+    opts.target_device = runtime::PlanningDevice(exec);
     RAVEN_RETURN_IF_ERROR(ctx_->cross_optimizer().Optimize(&plan));
     if (trace != nullptr) trace->EndSpan(optimize_span);
   }

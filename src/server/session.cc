@@ -171,10 +171,18 @@ std::string Session::PlanProfile() const {
   // Only knobs the optimizer's cost model consumes belong here: adding
   // irrelevant ones (e.g. morsel_rows, the batching knobs) would fragment
   // the cache.
-  return "mode=" +
-         std::to_string(static_cast<int>(execution_.mode)) +
-         ";dop=" + std::to_string(execution_.parallelism) +
-         ";dw=" + std::to_string(execution_.distributed_workers);
+  std::string profile =
+      "mode=" + std::to_string(static_cast<int>(execution_.mode)) +
+      ";dop=" + std::to_string(execution_.parallelism) +
+      ";dw=" + std::to_string(execution_.distributed_workers);
+  // The device picks tree encodings; CPU sessions (all but embedders that
+  // configure an accelerator) keep the short key.
+  const nnrt::DeviceSpec device = runtime::PlanningDevice(execution_);
+  if (device.type != nnrt::DeviceType::kCpu) {
+    profile += ";dev=" + std::to_string(device.launch_overhead_us) + "/" +
+               std::to_string(device.flops_per_us);
+  }
+  return profile;
 }
 
 void Session::PutView(const std::string& name, const std::string& select_sql) {

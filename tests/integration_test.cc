@@ -163,6 +163,70 @@ TEST_F(IntegrationTest, ForestQueryViaNnTranslation) {
   EXPECT_GT(result->execution.nn_wall_micros, 0.0);
 }
 
+TEST_F(IntegrationTest, TreesAboveInlineLimitScoreAsTreeEnsembleOnCpu) {
+  auto forest = *data::TrainHospitalForest(data_, 6, 6);
+  ASSERT_TRUE(
+      ctx_.InsertModel("los_rf", data::HospitalForestScript(), forest).ok());
+  // The tree too, once it is over the inlining limit.
+  ctx_.optimizer_options().inline_max_nodes = 1;
+  for (const char* model : {"los_rf", "duration_of_stay"}) {
+    SCOPED_TRACE(model);
+    const std::string sql =
+        std::string("WITH data AS (SELECT * FROM patient_info "
+                    "  JOIN blood_tests ON id = id "
+                    "  JOIN prenatal_tests ON id = id) "
+                    "SELECT id, p FROM PREDICT(MODEL='") +
+        model + "', DATA=data) WITH(p float)";
+    auto plan = ctx_.analyzer().Analyze(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    optimizer::OptimizationReport report;
+    ASSERT_TRUE(ctx_.cross_optimizer().Optimize(&*plan, &report).ok());
+    std::size_t graphs = 0;
+    ir::VisitIr(plan->root(), [&](const ir::IrNode* node) {
+      if (node->kind != ir::IrOpKind::kNnGraph) return;
+      ++graphs;
+      EXPECT_EQ(node->nn_graph->CountOps("TreeEnsemble"), 1u);
+      EXPECT_EQ(node->nn_graph->CountOps("MatMul"), 0u);
+    });
+    EXPECT_EQ(graphs, 1u);
+    ASSERT_EQ(report.tree_encodings.size(), 1u);
+    EXPECT_EQ(report.tree_encodings[0].encoding,
+              optimizer::TreeEncoding::kTreeEnsemble);
+    auto explain = ctx_.Explain(sql);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_NE(explain->find("=== Tree encoding ===\n  model='" +
+                            std::string(model) + "': TreeEnsemble (cpu)\n"),
+              std::string::npos)
+        << *explain;
+  }
+}
+
+TEST_F(IntegrationTest, AcceleratorTakesGemmForLargeBatches) {
+  // A GPU-class device (10 TFLOP/s) over the 3-way join: the cost model
+  // prices the GEMM lowering below the tree walk and EXPLAIN shows both
+  // estimates. The execution option reaches the optimizer like dop does.
+  auto forest = *data::TrainHospitalForest(data_, 6, 6);
+  ASSERT_TRUE(
+      ctx_.InsertModel("los_rf", data::HospitalForestScript(), forest).ok());
+  ctx_.execution_options().device =
+      nnrt::DeviceSpec::Accelerator(60.0, 1.0e7);
+  const std::string sql =
+      "WITH data AS (SELECT * FROM patient_info "
+      "  JOIN blood_tests ON id = id JOIN prenatal_tests ON id = id) "
+      "SELECT id, p FROM PREDICT(MODEL='los_rf', DATA=data) WITH(p float)";
+  auto explain = ctx_.Explain(sql);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("model='los_rf': GEMM (accelerator, rows="),
+            std::string::npos)
+      << *explain;
+  auto result = ctx_.Query(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->optimization.tree_encodings.size(), 1u);
+  EXPECT_EQ(result->optimization.tree_encodings[0].encoding,
+            optimizer::TreeEncoding::kGemm);
+  EXPECT_EQ(result->table.num_rows(), data_.patient_info.num_rows());
+}
+
 TEST_F(IntegrationTest, FlightCategoricalPredicateQuery) {
   auto flight_data = data::MakeFlightDataset(4000, 62);
   ASSERT_TRUE(ctx_.RegisterTable("flights", flight_data.flights).ok());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "data/flight.h"
 #include "data/hospital.h"
 #include "frontend/analyzer.h"
@@ -182,9 +184,7 @@ TEST_F(HospitalFixture, InliningRespectsSizeBudget) {
 TEST_F(HospitalFixture, NnTranslationTreeGemmEquivalence) {
   // The LA lowering of the tree must agree exactly with the interpreted
   // tree on real data — the core NN-translation correctness property.
-  NnTranslationOptions options;
-  options.lower_trees_to_gemm = true;
-  nnrt::Graph graph = *PipelineToNnGraph(tree_pipeline_, options);
+  nnrt::Graph graph = *PipelineToNnGraph(tree_pipeline_, TreeEncoding::kGemm);
   auto session = std::move(nnrt::InferenceSession::Create(graph)).value();
   Tensor x = *data_.joined.ToTensor(tree_pipeline_.input_columns);
   Tensor expected = *tree_pipeline_.Predict(x);
@@ -195,9 +195,8 @@ TEST_F(HospitalFixture, NnTranslationTreeGemmEquivalence) {
 }
 
 TEST_F(HospitalFixture, NnTranslationTreeEnsembleOpEquivalence) {
-  NnTranslationOptions options;
-  options.lower_trees_to_gemm = false;
-  nnrt::Graph graph = *PipelineToNnGraph(tree_pipeline_, options);
+  nnrt::Graph graph =
+      *PipelineToNnGraph(tree_pipeline_, TreeEncoding::kTreeEnsemble);
   EXPECT_EQ(graph.CountOps("TreeEnsemble"), 1u);
   auto session = std::move(nnrt::InferenceSession::Create(graph)).value();
   Tensor x = *data_.joined.ToTensor(tree_pipeline_.input_columns);
@@ -207,16 +206,102 @@ TEST_F(HospitalFixture, NnTranslationTreeEnsembleOpEquivalence) {
 
 TEST_F(HospitalFixture, NnTranslationForestAndMlp) {
   auto forest_pipeline = *data::TrainHospitalForest(data_, 5, 5);
-  nnrt::Graph fg = *PipelineToNnGraph(forest_pipeline);
-  auto fs = std::move(nnrt::InferenceSession::Create(fg)).value();
   Tensor x = *data_.joined.ToTensor(forest_pipeline.input_columns);
-  EXPECT_TRUE(
-      (*forest_pipeline.Predict(x)).AllClose(*fs->RunSingle(x), 1e-3f));
+  const Tensor expected = *forest_pipeline.Predict(x);
+  // The GEMM lowering sums leaf values through float matmuls: close, not
+  // exact.
+  nnrt::Graph gemm = *PipelineToNnGraph(forest_pipeline, TreeEncoding::kGemm);
+  auto gs = std::move(nnrt::InferenceSession::Create(gemm)).value();
+  EXPECT_TRUE(expected.AllClose(*gs->RunSingle(x), 1e-3f));
+  // TreeEnsemble walks the same trees and, like RandomForest::Predict,
+  // sums then divides: bit-identical.
+  nnrt::Graph fg =
+      *PipelineToNnGraph(forest_pipeline, TreeEncoding::kTreeEnsemble);
+  EXPECT_EQ(fg.CountOps("TreeEnsemble"), 1u);
+  auto fs = std::move(nnrt::InferenceSession::Create(fg)).value();
+  const Tensor walked = *fs->RunSingle(x);
+  ASSERT_EQ(walked.num_elements(), expected.num_elements());
+  for (std::int64_t i = 0; i < expected.num_elements(); ++i) {
+    ASSERT_EQ(std::memcmp(&walked.raw()[i], &expected.raw()[i], sizeof(float)),
+              0)
+        << "row " << i << ": " << walked.raw()[i] << " vs "
+        << expected.raw()[i];
+  }
 
   auto mlp_pipeline = *data::TrainHospitalMlp(data_);
-  nnrt::Graph mg = *PipelineToNnGraph(mlp_pipeline);
+  nnrt::Graph mg = *PipelineToNnGraph(mlp_pipeline, TreeEncoding::kGemm);
   auto ms = std::move(nnrt::InferenceSession::Create(mg)).value();
   EXPECT_TRUE((*mlp_pipeline.Predict(x)).AllClose(*ms->RunSingle(x), 1e-3f));
+}
+
+TEST_F(HospitalFixture, TreeEncodingIsChosenByDevice) {
+  auto forest = *data::TrainHospitalForest(data_, 5, 5);
+  // A CPU walks the trees at any batch size: no costing needed.
+  for (double rows : {1.0, 1e9}) {
+    const TreeEncodingChoice cpu =
+        ChooseTreeEncoding(forest, nnrt::DeviceSpec::Cpu(), rows);
+    EXPECT_EQ(cpu.encoding, TreeEncoding::kTreeEnsemble);
+    EXPECT_EQ(cpu.gemm_us, 0.0);
+  }
+  // A GPU-class accelerator (10 TFLOP/s): launch overhead dominates a few
+  // rows, GEMM throughput wins a large batch.
+  const nnrt::DeviceSpec gpu = nnrt::DeviceSpec::Accelerator(60.0, 1.0e7);
+  const TreeEncodingChoice few = ChooseTreeEncoding(forest, gpu, 10.0);
+  EXPECT_EQ(few.encoding, TreeEncoding::kTreeEnsemble);
+  EXPECT_GT(few.gemm_us, few.tree_walk_us);
+  const TreeEncodingChoice many = ChooseTreeEncoding(forest, gpu, 1.0e6);
+  EXPECT_EQ(many.encoding, TreeEncoding::kGemm);
+  EXPECT_LT(many.gemm_us, many.tree_walk_us);
+  EXPECT_DOUBLE_EQ(many.gemm_us,
+                   60.0 + 1.0e6 * TreeGemmRowFlops(forest) / 1.0e7);
+  // The shape math matches the flops the lowered graph actually carries.
+  nnrt::Graph gemm = *PipelineToNnGraph(forest, TreeEncoding::kGemm);
+  double matmul_flops = 0.0;
+  for (const auto& node : gemm.nodes()) {
+    if (node.op_type != "MatMul" && node.op_type != "Gemm") continue;
+    const Tensor& w = gemm.initializers().at(node.inputs[1]);
+    matmul_flops += 2.0 * static_cast<double>(w.dim(0) * w.dim(1));
+  }
+  EXPECT_DOUBLE_EQ(TreeGemmRowFlops(forest), matmul_flops);
+  // Non-tree predictors have no GEMM tree lowering.
+  EXPECT_EQ(TreeGemmRowFlops(*data::TrainHospitalMlp(data_)), 0.0);
+}
+
+TEST_F(HospitalFixture, NnTranslationPicksEncodingFromRowEstimate) {
+  auto forest = *data::TrainHospitalForest(data_, 5, 5);
+  ASSERT_TRUE(catalog_
+                  .InsertModel("los_rf", data::HospitalForestScript(),
+                               forest.ToBytes())
+                  .ok());
+  const std::string sql =
+      "SELECT id, p FROM PREDICT(MODEL='los_rf', DATA=patients) "
+      "WITH(p float)";
+  auto translate = [&](const nnrt::DeviceSpec& device) {
+    IrPlan plan = test_util::AnalyzePlan(catalog_, sql);
+    std::vector<TreeEncodingChoice> choices;
+    EXPECT_EQ(*ApplyNnTranslation(&plan.mutable_root(), catalog_, device,
+                                  &choices),
+              1u);
+    EXPECT_EQ(choices.size(), 1u);
+    std::size_t tree_ensembles = 0;
+    ir::VisitIr(plan.root(), [&](const ir::IrNode* node) {
+      if (node->kind == IrOpKind::kNnGraph) {
+        tree_ensembles += node->nn_graph->CountOps("TreeEnsemble");
+      }
+    });
+    return std::make_pair(choices.empty() ? TreeEncodingChoice() : choices[0],
+                          tree_ensembles);
+  };
+  const auto [cpu, cpu_ops] = translate(nnrt::DeviceSpec::Cpu());
+  EXPECT_EQ(cpu.model, "los_rf");
+  EXPECT_EQ(cpu.encoding, TreeEncoding::kTreeEnsemble);
+  EXPECT_EQ(cpu_ops, 1u);
+  // The accelerator sees the scan's row count and takes the GEMM lowering.
+  const auto [gpu, gpu_ops] =
+      translate(nnrt::DeviceSpec::Accelerator(60.0, 1.0e7));
+  EXPECT_EQ(gpu.encoding, TreeEncoding::kGemm);
+  EXPECT_DOUBLE_EQ(gpu.rows, static_cast<double>(data_.joined.num_rows()));
+  EXPECT_EQ(gpu_ops, 0u);
 }
 
 TEST_F(HospitalFixture, ModelQuerySplittingProducesUnion) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -135,7 +136,8 @@ TEST_F(ParallelExecFixture, HashJoinTwoTables) {
 TEST_F(ParallelExecFixture, HashJoinDuplicateBuildKeysDeterministic) {
   // Duplicate build-side keys: the parallel build must reproduce the
   // sequential build's row order (FinalizeBuild re-orders chunks by morsel
-  // provenance and sorts row-id lists), so matches come out identically.
+  // provenance and scatters row ids into their buckets in ascending order),
+  // so matches come out identically.
   relational::Table probe;
   std::vector<double> pk, pv;
   for (int i = 0; i < 3000; ++i) {
@@ -157,6 +159,46 @@ TEST_F(ParallelExecFixture, HashJoinDuplicateBuildKeysDeterministic) {
   CheckSqlEquivalence(
       "SELECT * FROM dup_probe JOIN dup_build ON k = k",
       /*ordered=*/true);
+}
+
+TEST_F(ParallelExecFixture, HashJoinSpecialKeysByteIdenticalAtDop4) {
+  // NaN keys (never match), -0.0 vs 0.0 (match, each keeps its sign bit)
+  // and duplicates on both sides: dop 4 must equal dop 1 byte for byte.
+  const double keys[] = {std::numeric_limits<double>::quiet_NaN(), -0.0,
+                         0.0, 1.0, 2.0, 3.0};
+  relational::Table probe;
+  relational::Table build;
+  std::vector<double> pk, pv, bk, bv;
+  for (int i = 0; i < 3000; ++i) {
+    pk.push_back(keys[(i * 7) % 6]);
+    pv.push_back(i);
+  }
+  for (int i = 0; i < 2500; ++i) {
+    bk.push_back(keys[(i * 5 + i / 6) % 6]);
+    bv.push_back(-i);
+  }
+  ASSERT_TRUE(probe.AddNumericColumn("pk", std::move(pk)).ok());
+  ASSERT_TRUE(probe.AddNumericColumn("pv", std::move(pv)).ok());
+  ASSERT_TRUE(build.AddNumericColumn("bk", std::move(bk)).ok());
+  ASSERT_TRUE(build.AddNumericColumn("bv", std::move(bv)).ok());
+  ASSERT_TRUE(catalog_.RegisterTable("special_probe", std::move(probe)).ok());
+  ASSERT_TRUE(catalog_.RegisterTable("special_build", std::move(build)).ok());
+  auto plan = test_util::AnalyzePlan(
+      catalog_, "SELECT * FROM special_probe JOIN special_build ON pk = bk");
+  relational::Table sequential = Run(plan, 1);
+  relational::Table parallel = Run(plan, 4);
+  ASSERT_GT(sequential.num_rows(), 0);
+  ASSERT_EQ(sequential.ColumnNames(), parallel.ColumnNames());
+  ASSERT_EQ(sequential.num_rows(), parallel.num_rows());
+  for (std::int64_t c = 0; c < sequential.num_columns(); ++c) {
+    const auto& a = sequential.columns()[static_cast<std::size_t>(c)].data;
+    const auto& b = parallel.columns()[static_cast<std::size_t>(c)].data;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "column " << sequential.ColumnNames()[static_cast<std::size_t>(c)];
+  }
+  for (double k : (*sequential.GetColumn("bk"))->data) {
+    EXPECT_FALSE(std::isnan(k));
+  }
 }
 
 TEST_F(ParallelExecFixture, HashJoinThreeTablesAtParallelism8) {

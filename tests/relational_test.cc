@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -7,6 +8,7 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <thread>
 
 #include "relational/catalog.h"
 #include "relational/csv.h"
@@ -201,6 +203,218 @@ TEST(OperatorTest, HashJoinDuplicateBuildKeys) {
                         std::make_unique<ScanOperator>(&right), "k", "k");
   Table out = *MaterializeAll(&join);
   EXPECT_EQ(out.num_rows(), 2);
+}
+
+// --- Join build (CSR hash table) against a nested-loop oracle -----------
+
+/// Inner equi-join by definition: every probe row in order, then every
+/// build row in build order whose key compares == (so NaN never matches and
+/// -0.0 matches 0.0). Output is the probe columns plus the build columns
+/// whose names the probe side does not already have.
+Table NestedLoopJoin(const Table& probe, const Table& build,
+                     const std::string& probe_key,
+                     const std::string& build_key) {
+  const auto& pk = (*probe.GetColumn(probe_key))->data;
+  const auto& bk = (*build.GetColumn(build_key))->data;
+  std::vector<std::string> names = probe.ColumnNames();
+  std::vector<const std::vector<double>*> sources;
+  std::vector<bool> from_build;
+  for (const auto& name : probe.ColumnNames()) {
+    sources.push_back(&(*probe.GetColumn(name))->data);
+    from_build.push_back(false);
+  }
+  for (const auto& name : build.ColumnNames()) {
+    if (std::find(names.begin(), names.end(), name) != names.end()) continue;
+    names.push_back(name);
+    sources.push_back(&(*build.GetColumn(name))->data);
+    from_build.push_back(true);
+  }
+  std::vector<std::vector<double>> cols(names.size());
+  for (std::size_t p = 0; p < pk.size(); ++p) {
+    for (std::size_t b = 0; b < bk.size(); ++b) {
+      if (!(pk[p] == bk[b])) continue;
+      for (std::size_t c = 0; c < names.size(); ++c) {
+        cols[c].push_back((*sources[c])[from_build[c] ? b : p]);
+      }
+    }
+  }
+  Table out;
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    (void)out.AddNumericColumn(names[c], std::move(cols[c]));
+  }
+  return out;
+}
+
+/// Same names, same rows, same bytes (so -0.0 is not 0.0 and NaN == NaN).
+void ExpectBytesIdentical(const Table& expected, const Table& actual) {
+  ASSERT_EQ(expected.ColumnNames(), actual.ColumnNames());
+  ASSERT_EQ(expected.num_rows(), actual.num_rows());
+  for (const auto& name : expected.ColumnNames()) {
+    const auto& e = (*expected.GetColumn(name))->data;
+    const auto& a = (*actual.GetColumn(name))->data;
+    EXPECT_EQ(std::memcmp(e.data(), a.data(), e.size() * sizeof(double)), 0)
+        << "column " << name;
+  }
+}
+
+/// Build rows for a probe-only join, split into morsels appended by
+/// `workers` threads in scrambled order (worker w takes morsels w, w +
+/// workers, ... and appends them last-first).
+std::shared_ptr<JoinBuildState> ParallelBuild(const Table& build,
+                                              const std::string& key,
+                                              std::int64_t workers,
+                                              std::int64_t morsel_rows) {
+  auto state = std::make_shared<JoinBuildState>(key, workers);
+  const std::int64_t morsels =
+      (build.num_rows() + morsel_rows - 1) / morsel_rows;
+  std::vector<std::thread> threads;
+  for (std::int64_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&, w] {
+      std::vector<std::int64_t> mine;
+      for (std::int64_t m = w; m < morsels; m += workers) mine.push_back(m);
+      std::reverse(mine.begin(), mine.end());
+      for (std::int64_t m : mine) {
+        ScanOperator scan(&build, m * morsel_rows,
+                          std::min(build.num_rows(), (m + 1) * morsel_rows));
+        ASSERT_TRUE(scan.Open().ok());
+        DataChunk chunk;
+        while (*scan.Next(&chunk)) {
+          chunk.order_source = 0;
+          chunk.order_morsel = m;
+          ASSERT_TRUE(state->Append(w, std::move(chunk)).ok());
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_TRUE(state->FinalizeBuild().ok());
+  return state;
+}
+
+Table JoinOwning(const Table& probe, const Table& build,
+                 const std::string& probe_key, const std::string& build_key) {
+  HashJoinOperator join(std::make_unique<ScanOperator>(&probe),
+                        std::make_unique<ScanOperator>(&build), probe_key,
+                        build_key);
+  return *MaterializeAll(&join);
+}
+
+/// Keys drawn from a small pool with NaN, both zeros and many duplicates.
+Table JoinSide(std::int64_t n, const std::string& key,
+               const std::string& payload, std::uint32_t seed) {
+  const double pool[] = {std::numeric_limits<double>::quiet_NaN(),
+                         -0.0, 0.0, 1.0, 2.0, 3.0, 4.5, -7.0, 1e9};
+  std::mt19937 rng(seed);
+  std::vector<double> k, v;
+  for (std::int64_t i = 0; i < n; ++i) {
+    k.push_back(pool[rng() % (sizeof(pool) / sizeof(pool[0]))]);
+    v.push_back(static_cast<double>(i));
+  }
+  Table t;
+  (void)t.AddNumericColumn(key, std::move(k));
+  (void)t.AddNumericColumn(payload, std::move(v));
+  return t;
+}
+
+TEST(JoinBuildTest, DuplicateKeysComeOutInBuildOrder) {
+  Table probe;
+  (void)probe.AddNumericColumn("k", {2, 1, 2});
+  Table build;
+  (void)build.AddNumericColumn("k", {1, 2, 1, 2, 2});
+  (void)build.AddNumericColumn("b", {10, 11, 12, 13, 14});
+  Table out = JoinOwning(probe, build, "k", "k");
+  EXPECT_EQ((*out.GetColumn("b"))->data,
+            (std::vector<double>{11, 13, 14, 10, 12, 11, 13, 14}));
+  ExpectBytesIdentical(NestedLoopJoin(probe, build, "k", "k"), out);
+}
+
+TEST(JoinBuildTest, NanKeysNeverMatch) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table probe;
+  (void)probe.AddNumericColumn("pk", {nan, 1});
+  Table build;
+  (void)build.AddNumericColumn("bk", {nan, nan, 1});
+  Table out = JoinOwning(probe, build, "pk", "bk");
+  ASSERT_EQ(out.num_rows(), 1);
+  EXPECT_EQ((*out.GetColumn("bk"))->data, (std::vector<double>{1}));
+}
+
+TEST(JoinBuildTest, NegativeZeroMatchesZero) {
+  Table probe;
+  (void)probe.AddNumericColumn("pk", {0.0, -0.0});
+  Table build;
+  (void)build.AddNumericColumn("bk", {-0.0, 0.0});
+  Table out = JoinOwning(probe, build, "pk", "bk");
+  ASSERT_EQ(out.num_rows(), 4);
+  // The build key keeps its own sign bit: each probe row sees -0.0 then 0.0.
+  const auto& bk = (*out.GetColumn("bk"))->data;
+  EXPECT_TRUE(std::signbit(bk[0]));
+  EXPECT_FALSE(std::signbit(bk[1]));
+  ExpectBytesIdentical(NestedLoopJoin(probe, build, "pk", "bk"), out);
+}
+
+TEST(JoinBuildTest, EmptyBuildSide) {
+  Table probe = JoinSide(100, "k", "p", 3);
+  Table build;
+  (void)build.AddNumericColumn("k", {});
+  (void)build.AddNumericColumn("b", {});
+  EXPECT_EQ(JoinOwning(probe, build, "k", "k").num_rows(), 0);
+  auto state = ParallelBuild(build, "k", 4, 16);
+  EXPECT_EQ(state->num_rows(), 0);
+  HashJoinOperator probe_only(std::make_unique<ScanOperator>(&probe), "k",
+                              state);
+  EXPECT_EQ(MaterializeAll(&probe_only)->num_rows(), 0);
+}
+
+TEST(JoinBuildTest, BuildChunkSelectionVectorIsHonored) {
+  // Only the selected build rows (1 and 3) may match.
+  JoinBuildState state("k", 1);
+  DataChunk chunk;
+  chunk.names = {"k", "b"};
+  chunk.cols = {{5, 5, 6, 5}, {100, 101, 102, 103}};
+  chunk.sel = {1, 3};
+  ASSERT_TRUE(state.Append(0, std::move(chunk)).ok());
+  ASSERT_TRUE(state.FinalizeBuild().ok());
+  EXPECT_EQ(state.num_rows(), 2);
+  std::vector<double> matched;
+  state.ForEachMatch(5.0, [&](std::int64_t row) {
+    matched.push_back(state.cols()[1][static_cast<std::size_t>(row)]);
+  });
+  EXPECT_EQ(matched, (std::vector<double>{101, 103}));
+  state.ForEachMatch(6.0, [&](std::int64_t) { ADD_FAILURE(); });
+
+  // The same through a filter under the owning join's build child.
+  Table probe;
+  (void)probe.AddNumericColumn("k", {5, 6});
+  Table build;
+  (void)build.AddNumericColumn("k", {5, 5, 6, 5});
+  (void)build.AddNumericColumn("b", {100, 101, 102, 103});
+  HashJoinOperator join(
+      std::make_unique<ScanOperator>(&probe),
+      std::make_unique<FilterOperator>(std::make_unique<ScanOperator>(&build),
+                                       Gt(Col("b"), Lit(100.5))),
+      "k", "k");
+  Table out = *MaterializeAll(&join);
+  EXPECT_EQ((*out.GetColumn("b"))->data,
+            (std::vector<double>{101, 103, 102}));
+}
+
+TEST(JoinBuildTest, OwningAndProbeOnlyMatchOracleAtEveryWorkerCount) {
+  // Spans several chunks on both sides, with NaN, both zeros and heavy
+  // duplication; every mode and worker count must equal the oracle byte
+  // for byte.
+  Table probe = JoinSide(3000, "k", "p", 11);
+  Table build = JoinSide(5000, "k", "b", 12);
+  const Table expected = NestedLoopJoin(probe, build, "k", "k");
+  ASSERT_GT(expected.num_rows(), 0);
+  ExpectBytesIdentical(expected, JoinOwning(probe, build, "k", "k"));
+  for (std::int64_t workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    auto state = ParallelBuild(build, "k", workers, 300);
+    HashJoinOperator join(std::make_unique<ScanOperator>(&probe), "k",
+                          state);
+    ExpectBytesIdentical(expected, *MaterializeAll(&join));
+  }
 }
 
 TEST(OperatorTest, UnionAll) {

@@ -69,7 +69,8 @@ TEST_F(WorkerFixture, ScorePipelineOutOfProcess) {
 TEST_F(WorkerFixture, ScoreGraphOutOfProcess) {
   WorkerClient client;
   ASSERT_TRUE(client.Start(ExternalRuntimeOptions()).ok());
-  nnrt::Graph graph = *optimizer::PipelineToNnGraph(MakePipeline());
+  nnrt::Graph graph = *optimizer::PipelineToNnGraph(
+      MakePipeline(), optimizer::TreeEncoding::kTreeEnsemble);
   BinaryWriter w;
   graph.Serialize(&w);
   Tensor x = *Tensor::FromData({1, 2}, {3, 4});
@@ -208,8 +209,8 @@ TEST_F(ExecutionFixture, NnGraphInProcessViaSessionCache) {
   auto plan = Analyze(
       "SELECT id, p FROM PREDICT(MODEL='los', DATA=patients) WITH(p float)");
   // Translate to an NNRT graph node first.
-  optimizer::NnTranslationOptions nn_options;
-  (void)*optimizer::ApplyNnTranslation(&plan.mutable_root(), nn_options);
+  (void)*optimizer::ApplyNnTranslation(&plan.mutable_root(), catalog_,
+                                       nnrt::DeviceSpec::Cpu());
   ASSERT_EQ(plan.CountKind(ir::IrOpKind::kNnGraph), 1u);
   PlanExecutor executor(&catalog_, &cache_);
   const auto misses_before = cache_.misses();
